@@ -25,7 +25,6 @@ from repro.core.backend import (
     OperatorBackend,
     OperatorSupport,
     SupportLevel,
-    join_reference,
 )
 from repro.core.expr import (
     ARITH_OPS,
@@ -49,6 +48,7 @@ from repro.core.predicate import (
 from repro.errors import UnsupportedOperatorError
 from repro.gpu.device import Device
 from repro.libs import arrayfire as af
+from repro.relational.hashjoin import match_pairs
 
 #: Outer-relation batch width for the gfor-style nested-loops join: each
 #: batch materialises a (batch × inner) boolean matrix — the reason the
@@ -166,7 +166,7 @@ class ArrayFireBackend(OperatorBackend):
         """
         left = left_keys.storage().peek()
         right = right_keys.storage().peek()
-        left_ids, right_ids = join_reference(left, right)
+        left_ids, right_ids = match_pairs(left, right)
         n, m = len(left), len(right)
         batches = max(1, (n + GFOR_BATCH - 1) // GFOR_BATCH)
         bool_bytes = 1.0

@@ -27,7 +27,6 @@ from repro.core.backend import (
     OperatorBackend,
     OperatorSupport,
     SupportLevel,
-    join_reference,
 )
 from repro.core.expr import Expr
 from repro.core.predicate import (
@@ -43,7 +42,11 @@ from repro.core.predicate import (
 from repro.gpu.device import Device
 from repro.gpu.kernel import TUNED_PROFILE
 from repro.libs.base import DeviceArray, LibraryRuntime
-from repro.relational.hashjoin import HashJoinConfig, SimulatedHashJoin
+from repro.relational.hashjoin import (
+    HashJoinConfig,
+    SimulatedHashJoin,
+    match_pairs,
+)
 
 
 class HandwrittenRuntime(LibraryRuntime):
@@ -203,7 +206,7 @@ class HandwrittenBackend(OperatorBackend):
         """Tiled NLJ — written as a reference point; a CUDA expert would
         still reach for the hash join below."""
         left, right = left_keys.peek(), right_keys.peek()
-        left_ids, right_ids = join_reference(left, right)
+        left_ids, right_ids = match_pairs(left, right)
         n, m = len(left), len(right)
         self.runtime._charge(
             "tiled_nlj",
@@ -221,7 +224,7 @@ class HandwrittenBackend(OperatorBackend):
         self, left_keys: Handle, right_keys: Handle
     ) -> Tuple[Handle, Handle]:
         left, right = left_keys.peek(), right_keys.peek()
-        left_ids, right_ids = join_reference(left, right)
+        left_ids, right_ids = match_pairs(left, right)
         n, m = len(left), len(right)
         key_bytes = float(left_keys.itemsize)
         # Tuned radix sorts on both sides (8-bit digits) ...

@@ -31,7 +31,6 @@ from repro.core.backend import (
     OperatorBackend,
     OperatorSupport,
     SupportLevel,
-    join_reference,
 )
 from repro.core.expr import (
     ARITH_OPS,
@@ -62,6 +61,7 @@ from repro.libs.thrust.functional import (
     minimum,
     multiplies,
 )
+from repro.relational.hashjoin import match_pairs
 
 #: Shared-memory tile width for the nested-loops join functor: each thread
 #: block stages TILE outer keys while streaming the inner relation, so the
@@ -214,7 +214,7 @@ class StlStyleBackend(OperatorBackend):
         the inner relation from a shared-memory tile."""
         left = left_keys.peek()
         right = right_keys.peek()
-        left_ids, right_ids = join_reference(left, right)
+        left_ids, right_ids = match_pairs(left, right)
         n, m = len(left), len(right)
         inner_bytes = float(right_keys.itemsize)
         # One kernel: every outer element compares against all m inner keys
@@ -274,10 +274,7 @@ class StlStyleBackend(OperatorBackend):
         )
         self.device.transfer_to_host(8, "merge_join_count")
         # Expansion kernel: one thread per output pair gathers both row ids.
-        left_ids, right_ids = self._expand_matches(
-            left_sorted.peek(), left_rowids.peek(),
-            right_rowids.peek(), lo.peek(), hi.peek(),
-        )
+        left_ids, right_ids = match_pairs(left, right)
         self.runtime._charge(
             "merge_join_expand",
             total,
@@ -289,27 +286,6 @@ class StlStyleBackend(OperatorBackend):
             self._wrap(left_ids, "mj_left_ids"),
             self._wrap(right_ids, "mj_right_ids"),
         )
-
-    @staticmethod
-    def _expand_matches(
-        left_sorted: np.ndarray,
-        left_rowids: np.ndarray,
-        right_rowids: np.ndarray,
-        lo: np.ndarray,
-        hi: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        counts = (hi - lo).astype(np.int64)
-        total = int(counts.sum())
-        left_ids = np.repeat(left_rowids.astype(np.int64), counts)
-        if total:
-            starts = np.repeat(lo.astype(np.int64), counts)
-            offset_base = np.repeat(np.cumsum(counts) - counts, counts)
-            positions = starts + (np.arange(total, dtype=np.int64) - offset_base)
-            right_ids = right_rowids.astype(np.int64)[positions]
-        else:
-            right_ids = np.empty(0, dtype=np.int64)
-        order = np.lexsort((right_ids, left_ids))
-        return left_ids[order], right_ids[order]
 
     def _iota_vector(self, n: int) -> Handle:
         """Row-id vector 0..n-1 (one generation kernel)."""

@@ -35,6 +35,7 @@ timeline the simulator had before streams existed — bit-for-bit, which
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import List, TYPE_CHECKING, Tuple
 
@@ -113,15 +114,27 @@ class Stream:
     and passed to ``Device.launch`` / ``Device.transfer_*`` (or installed
     as the scope default with ``Device.stream_scope``).  Work on distinct
     streams overlaps whenever the engines allow it.
+
+    The stream holds its device weakly: the device owns its streams, and
+    a strong back-pointer would make every device with a stream a
+    reference cycle that only the cyclic garbage collector could free.
     """
 
     def __init__(self, device: "Device", stream_id: int, name: str) -> None:
-        self.device = device
+        self._device = weakref.ref(device)
         self.stream_id = stream_id
         self.name = name
         #: Completion time of the latest item enqueued on this stream.
         self._cursor = 0.0
         self._epoch = device.epoch
+
+    @property
+    def device(self) -> "Device":
+        """The device this stream queues work on."""
+        device = self._device()
+        if device is None:
+            raise ReferenceError(f"the device of stream {self.name!r} is gone")
+        return device
 
     @property
     def cursor(self) -> float:

@@ -20,7 +20,7 @@ it, ``"auto"`` asks the optimizer's fusion-boundary cost model
 **Bit-identity.**  The fused path computes result values host-side with
 the same NumPy semantics the eager operators use — ``predicate.evaluate``
 + ``flatnonzero`` for filters, ``expr.evaluate`` for projections,
-:func:`~repro.core.backend.join_reference` for probes, the shared
+:func:`~repro.relational.hashjoin.match_pairs` for probes, the shared
 :func:`~repro.core.handwritten_backend.grouped_aggregate_host` /
 :func:`~repro.core.handwritten_backend.reduction_host` helpers for
 aggregation — and reuses the executor's own key decomposition, so every
@@ -33,7 +33,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.backend import join_reference
 from repro.core.expr import ColRef, Expr, Lit
 from repro.core.handwritten_backend import (
     _predicate_cost,
@@ -58,6 +57,7 @@ from repro.query.pipeline import (
     lower_plan,
 )
 from repro.query.plan import GroupBy, PlanNode, Scan
+from repro.relational.hashjoin import match_pairs
 from repro.relational.types import ColumnType
 
 
@@ -281,7 +281,7 @@ class CompiledPlanRunner:
             elif isinstance(stage, ProbeStage):
                 plan = stage.plan
                 build = outputs[stage.build_pid]
-                left_ids, right_ids = join_reference(
+                left_ids, right_ids = match_pairs(
                     host[plan.left_on], build.handle(plan.right_on).peek()
                 )
                 needed = stage.keep

@@ -174,77 +174,38 @@ def _optimize_once(plan: PlanNode) -> Optional[PlanNode]:
     """One bottom-up pass; None when the plan is already at fixpoint.
 
     Nodes are reconstructed *only* when a child actually changed or a
-    rule fired, so an unchanged subtree keeps its identity and the
-    fixpoint test terminates.
+    rule fired (every rule returns a new node), so an unchanged subtree
+    keeps its identity and the fixpoint test is an identity test.
     """
-    changed = False
+    result = _rebuild(plan)
+    return None if result is plan else result
 
-    def rebuild(node: PlanNode) -> PlanNode:
-        nonlocal changed
-        if isinstance(node, Scan):
+
+def _rebuild(node: PlanNode) -> PlanNode:
+    """``node`` with its children rebuilt and the filter rules applied;
+    ``node`` itself when nothing below or at it changed."""
+    if isinstance(node, Scan):
+        return node
+    if isinstance(node, Filter):
+        child = _rebuild(node.child)
+        candidate = (
+            node if child is node.child else Filter(child, node.predicate)
+        )
+        for rule in _FILTER_RULES:
+            rewritten = rule(candidate)
+            if rewritten is not None:
+                return rewritten
+        return candidate
+    if isinstance(node, (Join, SemiJoin)):
+        left = _rebuild(node.left)
+        right = _rebuild(node.right)
+        if left is node.left and right is node.right:
             return node
-        if isinstance(node, Filter):
-            child = rebuild(node.child)
-            candidate = (
-                node if child is node.child else Filter(child, node.predicate)
-            )
-            for rule in _FILTER_RULES:
-                rewritten = rule(candidate)
-                if rewritten is not None:
-                    changed = True
-                    return rewritten
-            if candidate is not node:
-                changed = True
-            return candidate
-        if isinstance(node, Project):
-            child = rebuild(node.child)
-            if child is node.child:
-                return node
-            changed = True
-            return Project(child, node.outputs)
-        if isinstance(node, Join):
-            left = rebuild(node.left)
-            right = rebuild(node.right)
-            if left is node.left and right is node.right:
-                return node
-            changed = True
-            return Join(left, right, node.left_on, node.right_on,
-                        node.algorithm)
-        if isinstance(node, GroupBy):
-            child = rebuild(node.child)
-            if child is node.child:
-                return node
-            changed = True
-            return GroupBy(child, node.keys, node.aggregates)
-        if isinstance(node, OrderBy):
-            child = rebuild(node.child)
-            if child is node.child:
-                return node
-            changed = True
-            return OrderBy(child, node.key, node.descending)
-        if isinstance(node, Limit):
-            child = rebuild(node.child)
-            if child is node.child:
-                return node
-            changed = True
-            return Limit(child, node.n)
-        if isinstance(node, SemiJoin):
-            left = rebuild(node.left)
-            right = rebuild(node.right)
-            if left is node.left and right is node.right:
-                return node
-            changed = True
-            return replace(node, left=left, right=right)
-        if isinstance(node, TopK):
-            child = rebuild(node.child)
-            if child is node.child:
-                return node
-            changed = True
-            return replace(node, child=child)
-        raise TypeError(f"unknown plan node {type(node).__name__}")
-
-    result = rebuild(plan)
-    return result if changed else None
+        return replace(node, left=left, right=right)
+    if isinstance(node, (Project, GroupBy, OrderBy, Limit, TopK)):
+        child = _rebuild(node.child)
+        return node if child is node.child else replace(node, child=child)
+    raise TypeError(f"unknown plan node {type(node).__name__}")
 
 
 def push_down_top_k(plan: PlanNode) -> PlanNode:

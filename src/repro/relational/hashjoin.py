@@ -17,10 +17,11 @@ Structure (the textbook two-phase GPU hash join):
 * **probe** — one kernel streams the probe-side keys, walks each key's
   collision chain, and compacts matching ``(probe id, build id)`` pairs.
 
-Semantics are executed in NumPy (the join output is the canonical
-:func:`~repro.core.backend.join_reference` ordering so every backend
-produces bit-identical results); *costs* are charged to the simulated
-clock through :meth:`~repro.gpu.device.Device.launch`.  The probe kernel's
+Semantics are executed in NumPy by :func:`match_pairs`, the one host
+match kernel behind every production join (it returns exactly what the
+independent oracle :func:`~repro.core.backend.join_reference` returns);
+*costs* are charged to the simulated clock through
+:meth:`~repro.gpu.device.Device.launch`.  The probe kernel's
 traffic is scaled by the *measured* collision-chain length of the actual
 key distribution: duplicate-heavy build sides produce long chains and a
 genuinely more expensive probe, exactly as on real hardware.
@@ -159,32 +160,85 @@ class HashJoinResult:
         return len(self.left_ids)
 
 
-def _canonical_join(
+#: The dense path runs when the build keys span at most this many values
+#: per input row, so its key-indexed tables stay a small multiple of the
+#: inputs.
+DENSE_SPAN_PER_ROW = 4
+
+
+def match_pairs(
     left_keys: np.ndarray, right_keys: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """All matching (left id, right id) pairs in (left, right) order.
+    """All matching (left id, right id) pairs of an inner equi-join.
 
-    Same contract as :func:`repro.core.backend.join_reference`; duplicated
-    here (sort + searchsorted) to keep this module free of a core import
-    cycle.
+    Returns two int64 arrays sorted by (left id, right id) — the contract
+    of :func:`repro.core.backend.join_reference`.  The right side is the
+    build side: its rows are grouped by key in row order, and each left
+    row takes its key's group.  Integer keys whose build span
+    (max - min + 1) is at most :data:`DENSE_SPAN_PER_ROW` times the input
+    rows are located by direct addressing (tables indexed by key); any
+    other input by binary search over the sorted build keys.
     """
-    order_r = np.argsort(right_keys, kind="stable")
-    sorted_r = right_keys[order_r]
-    lo = np.searchsorted(sorted_r, left_keys, side="left")
-    hi = np.searchsorted(sorted_r, left_keys, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    left_ids = np.repeat(np.arange(len(left_keys), dtype=np.int64), counts)
-    if total:
-        starts = np.repeat(lo, counts)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        right_ids = order_r[starts + offsets]
-    else:
-        right_ids = np.empty(0, dtype=np.int64)
-    order = np.lexsort((right_ids, left_ids))
-    return left_ids[order], right_ids[order].astype(np.int64)
+    n, m = len(left_keys), len(right_keys)
+    if n == 0 or m == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy()
+    # Keys compare in their common dtype; sorting the build side in it
+    # keeps equal keys in row order even where the cast merges values.
+    common = np.result_type(left_keys.dtype, right_keys.dtype)
+    left = left_keys.astype(common, copy=False)
+    right = right_keys.astype(common, copy=False)
+    if common.kind in "iu":
+        low, high = int(right.min()), int(right.max())
+        span = high - low + 1
+        if span <= DENSE_SPAN_PER_ROW * (n + m):
+            return _dense_pairs(left, right, low, high, span)
+    order_r = np.argsort(right, kind="stable")
+    sorted_r = right[order_r]
+    lo = np.searchsorted(sorted_r, left, side="left")
+    hi = np.searchsorted(sorted_r, left, side="right")
+    return _expand(hi - lo, lo, order_r)
+
+
+def _dense_pairs(
+    left: np.ndarray, right: np.ndarray, low: int, high: int, span: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Direct-address matches; both key arrays share one integer dtype
+    and every right key lies in ``[low, high]``."""
+    base = right.dtype.type(low)
+    # Offsets from the build minimum are below span, so they cannot
+    # overflow; probe keys outside [low, high] get the empty slot ``span``.
+    right_slot = (right - base).astype(np.intp)
+    inside = (left >= base) & (left <= right.dtype.type(high))
+    left_slot = np.full(len(left), span, dtype=np.intp)
+    np.subtract(left, base, out=left_slot, where=inside, casting="unsafe")
+    build_rows = np.arange(len(right), dtype=np.int64)
+    row_of_key = np.full(span + 1, -1, dtype=np.int64)
+    row_of_key[right_slot] = build_rows
+    if np.array_equal(row_of_key[right_slot], build_rows):
+        # Unique build keys: a probe row matches at most one build row.
+        matched = row_of_key[left_slot]
+        left_ids = np.flatnonzero(matched >= 0)
+        return left_ids, matched[left_ids]
+    key_counts = np.bincount(right_slot, minlength=span + 1)
+    key_first = np.cumsum(key_counts) - key_counts
+    order_r = np.argsort(right_slot, kind="stable")
+    return _expand(key_counts[left_slot], key_first[left_slot], order_r)
+
+
+def _expand(
+    counts: np.ndarray, firsts: np.ndarray, order_r: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Left row ``i`` matches build rows ``order_r[firsts[i]:firsts[i] +
+    counts[i]]``; emit the pairs in (left id, right id) order."""
+    left_ids = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    total = len(left_ids)
+    if not total:
+        return left_ids, np.empty(0, dtype=np.int64)
+    # Output slot j of left row i reads order_r[firsts[i] + j - out_first[i]].
+    shift = firsts - (np.cumsum(counts) - counts)
+    positions = np.arange(total, dtype=np.int64) + np.repeat(shift, counts)
+    return left_ids, order_r[positions].astype(np.int64, copy=False)
 
 
 class SimulatedHashJoin:
@@ -300,7 +354,7 @@ class SimulatedHashJoin:
         )
         try:
             build_seconds = self._build_phase(build_keys, layout)
-            left_ids, right_ids = _canonical_join(left, right)
+            left_ids, right_ids = match_pairs(left, right)
             avg_chain = self._measure_chains(build_keys, probe_keys, layout)
             probe_seconds = self._probe_phase(
                 probe_keys, layout, avg_chain, len(left_ids)

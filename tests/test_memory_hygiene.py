@@ -3,6 +3,7 @@ what they cache, and repeated query workloads do not leak."""
 
 import gc
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from repro.core import col_lt
 from repro.gpu import GTX_1080TI, Device
 from repro.query import GpuSession, QueryExecutor, scan
 from repro.relational import Column, Table
-from repro.tpch import ALL_QUERIES, TpchGenerator, q1, q6
+from repro.serve import OpenLoopWorkload, QueryServer, QuerySpec, ServerConfig
+from repro.tpch import ALL_QUERIES, TpchGenerator, q1, q3, q6
 
 
 @pytest.fixture
@@ -174,3 +176,38 @@ class TestPooledDeviceHygiene:
         second = device.pool.stats()
         # The repeat run is served mostly from freelists.
         assert second.hits - first.hits > second.misses - first.misses
+
+
+class TestDeviceRefcountHygiene:
+    """A dropped device is freed by reference counting alone.
+
+    A reference cycle through the device (say device -> stream -> device)
+    would keep it, and every profiler event it recorded, alive until a
+    full cyclic collection — a memory high-water mark that grows with
+    each served pass instead of staying flat.
+    """
+
+    def test_dropped_server_frees_device_hygiene(self, framework):
+        catalog = TpchGenerator(scale_factor=0.002, seed=5).generate()
+        specs = [QuerySpec("q1", q1.plan()), QuerySpec("q3", q3.plan(catalog)),
+                 QuerySpec("q6", q6.plan())]
+        gc.collect()
+        gc.disable()
+        try:
+            device = Device(GTX_1080TI)
+            server = QueryServer(
+                framework.create("handwritten", device), catalog,
+                ServerConfig(num_streams=2, plan_cache=False,
+                             result_cache=False),
+            )
+            report = server.run(
+                OpenLoopWorkload(specs, rate=1000.0, num_requests=6, seed=1)
+            )
+            assert sum(record.completed for record in report.records) == 6
+            assert len(device.profiler.events) > 0
+            server.close()
+            dropped = weakref.ref(device)
+            del device, server, report
+            assert dropped() is None
+        finally:
+            gc.enable()
