@@ -17,7 +17,7 @@ backend realizes each operator the way a CUDA expert would:
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from repro.gpu.device import Device
 from repro.gpu.kernel import TUNED_PROFILE
 from repro.libs.base import DeviceArray, LibraryRuntime
 from repro.relational.hashjoin import (
+    DENSE_SPAN_PER_ROW,
     HashJoinConfig,
     SimulatedHashJoin,
     match_pairs,
@@ -76,17 +77,52 @@ def _predicate_cost(predicate: Predicate) -> Tuple[float, int]:
     raise TypeError(f"unsupported predicate node {predicate!r}")
 
 
+def group_rows(key_data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(ascending distinct keys in the key dtype, group of each row).
+
+    Exactly ``np.unique(key_data, return_inverse=True)``.  Integer keys
+    whose span (max - min + 1, in Python ints) is at most
+    :data:`~repro.relational.hashjoin.DENSE_SPAN_PER_ROW` times the rows,
+    the rule :func:`~repro.relational.hashjoin.match_pairs` uses, are
+    grouped by a ``bincount`` over ``key - min``; any other input sorts.
+    """
+    n = len(key_data)
+    if n and key_data.dtype.kind in "iu":
+        low, high = int(key_data.min()), int(key_data.max())
+        span = high - low + 1
+        if span <= DENSE_SPAN_PER_ROW * n:
+            # Offsets are below span; 64-bit arithmetic of the key's own
+            # signedness cannot overflow computing them.
+            wide = np.uint64 if key_data.dtype.kind == "u" else np.int64
+            slots = np.subtract(key_data, wide(low), dtype=wide)
+            slots = slots.astype(np.intp, copy=False)
+            present = np.flatnonzero(np.bincount(slots, minlength=span))
+            group_of_slot = np.empty(span, dtype=np.intp)
+            group_of_slot[present] = np.arange(len(present), dtype=np.intp)
+            unique_keys = np.add(
+                present, wide(low), dtype=wide, casting="unsafe"
+            ).astype(key_data.dtype)
+            return unique_keys, group_of_slot[slots]
+    return np.unique(key_data, return_inverse=True)
+
+
 def grouped_aggregate_host(
-    key_data: np.ndarray, value_data: np.ndarray, agg: str
+    key_data: np.ndarray,
+    value_data: np.ndarray,
+    agg: str,
+    groups: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Host (NumPy-oracle) semantics of a keyed aggregation.
+    """The production keyed-aggregation kernel.
 
     Shared by the eager hash-aggregate kernel below and the compiled
     backend's fused group-by, so both produce bit-identical groups:
-    keys from ``np.unique`` (ascending), float64 accumulation, count as
+    ascending keys from :func:`group_rows` (pass its result as
+    ``groups`` to reuse it), float64 accumulation in row order, count as
     int64.
     """
-    unique_keys, inverse = np.unique(key_data, return_inverse=True)
+    unique_keys, inverse = groups if groups is not None else group_rows(
+        key_data
+    )
     groups = len(unique_keys)
     if agg == "sum":
         out = np.bincount(
@@ -110,6 +146,40 @@ def grouped_aggregate_host(
         np.float64 if agg != "count" else np.int64, copy=False
     )
     return unique_keys, np.asarray(out_values)
+
+
+def _read_only(handle: DeviceArray) -> DeviceArray:
+    handle.data.flags.writeable = False
+    return handle
+
+
+def _derived(handle: DeviceArray) -> dict:
+    """Memo for values derived from a handle's mirror: the handle's own,
+    or a throwaway one when the mirror is writable and so may change."""
+    return {} if handle.data.flags.writeable else handle.memo
+
+
+def _gather_index(ids: np.ndarray) -> Tuple[np.ndarray, int, int]:
+    """(read-only int64 ids, min, max) of a gather's id array."""
+    index = ids.astype(np.int64, copy=ids.flags.writeable)
+    index.flags.writeable = False
+    if not len(index):
+        return index, 0, -1
+    return index, int(index.min()), int(index.max())
+
+
+def _compose(memo: dict, inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """``inner[outer]``, memoized by the identity of ``inner``: the entry
+    holds ``inner`` itself, so its ``id()`` cannot be reused while the
+    entry lives, and the ``is`` check guards the key anyway."""
+    key = ("compose", id(inner))
+    hit = memo.get(key)
+    if hit is not None and hit[0] is inner:
+        return hit[1]
+    composed = inner[outer]
+    composed.flags.writeable = False
+    memo[key] = (inner, composed)
+    return composed
 
 
 def reduction_host(data: np.ndarray, agg: str) -> float:
@@ -162,14 +232,21 @@ class HandwrittenBackend(OperatorBackend):
 
     # -- data movement -----------------------------------------------------------
 
+    # Every mirror this backend hands out is read-only, so a deferred
+    # gather's base can never change under it (see :meth:`gather`).
+
     def upload(self, array: np.ndarray, label: str = "column") -> Handle:
-        return self.runtime._upload(np.ascontiguousarray(array), label)
+        return _read_only(
+            self.runtime._upload(np.ascontiguousarray(array), label)
+        )
 
     def download(self, handle: Handle) -> np.ndarray:
         return handle.to_host()
 
     def _wrap(self, array: np.ndarray, label: str) -> DeviceArray:
-        return self.runtime._materialize(np.ascontiguousarray(array), label)
+        return _read_only(
+            self.runtime._materialize(np.ascontiguousarray(array), label)
+        )
 
     # -- selection -----------------------------------------------------------------
 
@@ -282,8 +359,13 @@ class HandwrittenBackend(OperatorBackend):
                 f"grouped_aggregation: {len(keys)} keys vs {len(values)} values"
             )
         key_data, value_data = keys.peek(), values.peek()
+        # Every aggregate of one GROUP BY shares the key handle: group once.
+        memo = _derived(keys)
+        grouping = memo.get("groups") or memo.setdefault(
+            "groups", group_rows(key_data)
+        )
         unique_keys, out_values = grouped_aggregate_host(
-            key_data, value_data, agg
+            key_data, value_data, agg, grouping
         )
         groups = len(unique_keys)
         n = len(key_data)
@@ -386,12 +468,16 @@ class HandwrittenBackend(OperatorBackend):
         return self._wrap(result, "hw::scan_out")
 
     def gather(self, source: Handle, indices: Handle) -> Handle:
-        index_data = indices.peek().astype(np.int64, copy=False)
-        if len(index_data) and (
-            index_data.min() < 0 or index_data.max() >= len(source)
-        ):
+        """Charged and bounds-checked now; the rows are copied on first
+        host read.  Gathering from a deferred handle composes the two
+        indexes, once per (inner index, id handle) pair, so the columns
+        carried through a filter or join share one composition."""
+        memo = _derived(indices)
+        index, low, high = memo.get("gather") or memo.setdefault(
+            "gather", _gather_index(indices.peek())
+        )
+        if len(index) and (low < 0 or high >= len(source)):
             raise IndexError(f"gather: index out of range [0, {len(source)})")
-        result = source.peek()[index_data]
         self.runtime._charge(
             "tuned_gather",
             len(indices),
@@ -399,7 +485,13 @@ class HandwrittenBackend(OperatorBackend):
             read=indices.itemsize + 4.0 * source.itemsize,
             written=source.itemsize,
         )
-        return self._wrap(result, "hw::gather_out")
+        base, inner = source.deferred_parts()
+        if inner is not None:
+            index = _compose(memo, inner, index)
+        elif base.flags.writeable:
+            # A mirror this backend did not make may still be written.
+            return self._wrap(base[index], "hw::gather_out")
+        return self.runtime._defer_gather(base, index, "hw::gather_out")
 
     def scatter(self, source: Handle, indices: Handle, length: int) -> Handle:
         index_data = indices.peek().astype(np.int64, copy=False)

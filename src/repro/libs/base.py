@@ -11,7 +11,7 @@ efficiency profile carry the *costs*.
 from __future__ import annotations
 
 import weakref
-from typing import Iterator, Optional, Sequence, Union
+from typing import Dict, Hashable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,17 +25,32 @@ ArrayLike = Union[np.ndarray, Sequence[int], Sequence[float]]
 
 
 class DeviceArray:
-    """A typed, fixed-length array resident on the simulated device."""
+    """A typed, fixed-length array resident on the simulated device.
+
+    The host mirror is either an ndarray or, for a *deferred gather*, the
+    pair (base ndarray, int64 index) standing for ``base[index]``.  A
+    deferred mirror is materialized once, on the first host read
+    (:meth:`peek`, :meth:`to_host` or :attr:`data`); :attr:`dtype`,
+    ``len``, :attr:`itemsize` and :attr:`nbytes` answer without it.  The
+    base must never be written afterwards, which is why only read-only
+    bases are deferred.
+    """
 
     def __init__(
         self,
         runtime: "LibraryRuntime",
         data: np.ndarray,
         buffer: DeviceBuffer,
+        index: Optional[np.ndarray] = None,
     ) -> None:
         self.runtime = runtime
-        self.data = data
+        self._mirror = data
+        self._index = index
         self.buffer = buffer
+        #: Values derived from this handle's read-only mirror, kept by
+        #: the operators that derive them (gather bounds, composed
+        #: indexes) so they are computed once per handle.
+        self.memo: Dict[Hashable, object] = {}
         # Auto-release device memory when the host handle is collected, the
         # way RAII vectors (thrust::device_vector) behave.
         self._finalizer = weakref.finalize(
@@ -45,22 +60,39 @@ class DeviceArray:
     # -- introspection -----------------------------------------------------
 
     @property
+    def data(self) -> np.ndarray:
+        """The host mirror, materializing a deferred gather on first use."""
+        if self._index is not None:
+            mirror = self._mirror[self._index]
+            mirror.flags.writeable = False
+            self._mirror, self._index = mirror, None
+        return self._mirror
+
+    def deferred_parts(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """(base, index) of a deferred mirror, else (mirror, None)."""
+        return self._mirror, self._index
+
+    @property
     def dtype(self) -> np.dtype:
         """Element type of the array."""
-        return self.data.dtype
+        return self._mirror.dtype
 
     @property
     def itemsize(self) -> int:
         """Bytes per element."""
-        return int(self.data.dtype.itemsize)
+        return int(self._mirror.dtype.itemsize)
 
     @property
     def nbytes(self) -> int:
         """Total device bytes occupied by the payload."""
-        return int(self.data.nbytes)
+        if self._index is not None:
+            return len(self._index) * self.itemsize
+        return int(self._mirror.nbytes)
 
     def __len__(self) -> int:
-        return int(self.data.shape[0])
+        if self._index is not None:
+            return len(self._index)
+        return int(self._mirror.shape[0])
 
     def __repr__(self) -> str:
         return (
@@ -225,6 +257,15 @@ class LibraryRuntime:
         contiguous = np.ascontiguousarray(data)
         buffer = self.device.alloc_for_array(contiguous, label)
         return self.array_type(self, contiguous, buffer)
+
+    def _defer_gather(
+        self, base: np.ndarray, index: np.ndarray, label: str
+    ) -> DeviceArray:
+        """Wrap the device-produced gather ``base[index]`` without copying
+        its rows: the host mirror materializes on first read.  ``base``
+        must be read-only, ``index`` int64 and in range."""
+        buffer = self.device.allocate(len(index) * base.dtype.itemsize, label)
+        return self.array_type(self, base, buffer, index)
 
     # -- scalar readback -----------------------------------------------------
 

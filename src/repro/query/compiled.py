@@ -21,7 +21,8 @@ it, ``"auto"`` asks the optimizer's fusion-boundary cost model
 the same NumPy semantics the eager operators use — ``predicate.evaluate``
 + ``flatnonzero`` for filters, ``expr.evaluate`` for projections,
 :func:`~repro.relational.hashjoin.match_pairs` for probes, the shared
-:func:`~repro.core.handwritten_backend.grouped_aggregate_host` /
+:func:`~repro.core.handwritten_backend.group_rows`,
+:func:`~repro.core.handwritten_backend.grouped_aggregate_host` and
 :func:`~repro.core.handwritten_backend.reduction_host` helpers for
 aggregation — and reuses the executor's own key decomposition, so every
 mode produces byte-identical tables; only the cost events differ.
@@ -36,6 +37,7 @@ import numpy as np
 from repro.core.expr import ColRef, Expr, Lit
 from repro.core.handwritten_backend import (
     _predicate_cost,
+    group_rows,
     grouped_aggregate_host,
     reduction_host,
 )
@@ -497,24 +499,22 @@ class CompiledPlanRunner:
         key_data, strides = self._composite_key_host(plan.keys, host, meta)
         agg_columns: Dict[str, np.ndarray] = {}
         agg_meta: Dict[str, ColumnMeta] = {}
-        unique_keys: Optional[np.ndarray] = None
+        # Every aggregate groups by the same key: group once.
+        grouping = group_rows(key_data)
+        unique_keys = grouping[0]
         for aggregate in aggregates:
             if aggregate.kind == "count" and aggregate.expr is None:
                 values = key_data  # values are ignored for counts
             else:
                 values = self._expr_values(aggregate.expr, host)
-            group_keys, group_values = grouped_aggregate_host(
-                key_data, values, aggregate.kind
-            )
-            if unique_keys is None:
-                unique_keys = group_keys
-            agg_columns[aggregate.name] = group_values
+            agg_columns[aggregate.name] = grouped_aggregate_host(
+                key_data, values, aggregate.kind, grouping
+            )[1]
             agg_meta[aggregate.name] = ColumnMeta(
                 ctype=ColumnType.INT64
                 if aggregate.kind == "count"
                 else ColumnType.FLOAT64
             )
-        assert unique_keys is not None
         groups = len(unique_keys)
         # The partial aggregation is INSIDE the fused kernel (per-tile
         # hash tables); only the partial-merge breaks the pipeline.

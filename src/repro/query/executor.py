@@ -435,11 +435,10 @@ class QueryExecutor:
         meta: Dict[str, ColumnMeta] = {}
         for name in names:
             column = table.column(name)
-            max_value = int(column.data.max()) if len(column.data) else 0
             meta[name] = ColumnMeta(
                 ctype=column.ctype,
                 dictionary=column.dictionary,
-                max_value=max_value,
+                max_value=column.max_value,
             )
         return _Relation(columns=columns, meta=meta, num_rows=table.num_rows)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -123,6 +124,12 @@ class Column:
     def nbytes(self) -> int:
         """Physical payload size (what would travel to the device)."""
         return int(self.data.nbytes)
+
+    @cached_property
+    def max_value(self) -> int:
+        """Largest physical value (0 when empty), computed once: the
+        column is immutable."""
+        return int(self.data.max()) if len(self.data) else 0
 
     def code_for(self, value: str) -> int:
         """Dictionary code for a string literal (for pushing string

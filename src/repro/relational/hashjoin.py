@@ -119,9 +119,11 @@ def hash_codes(keys: np.ndarray, slots: int) -> np.ndarray:
     """Bucket index per key for a power-of-two table (Fibonacci hashing)."""
     if slots <= 0 or slots & (slots - 1):
         raise ValueError(f"slots must be a positive power of two: {slots}")
-    shift = np.uint64(64 - int(slots).bit_length() + 1)
-    mixed = keys.astype(np.int64).view(np.uint64) * _FIB_MULTIPLIER
-    return (mixed >> shift).astype(np.int64) % slots
+    # The top log2(slots) bits of the product are already below slots.
+    mixed = keys.astype(np.int64).view(np.uint64)
+    mixed *= _FIB_MULTIPLIER
+    mixed >>= np.uint64(64 - int(slots).bit_length() + 1)
+    return mixed.view(np.int64)
 
 
 @dataclass(frozen=True)
@@ -334,8 +336,11 @@ class SimulatedHashJoin:
         occupancy = np.bincount(
             hash_codes(build_keys, layout.slots), minlength=layout.slots
         )
+        np.maximum(occupancy, 1, out=occupancy)
         chains = occupancy[hash_codes(probe_keys, layout.slots)]
-        return float(np.maximum(chains, 1).mean())
+        # The integer sum over the count is the float mean exactly: every
+        # partial sum is an integer below 2**53.
+        return int(chains.sum()) / len(probe_keys)
 
     # -- the full pipeline -------------------------------------------------
 

@@ -7,6 +7,7 @@ from repro.gpu import Device
 from repro.gpu.profiler import ALLOC, FREE, KERNEL, TRANSFER_D2H
 from repro.core.backend import join_reference
 from repro.relational.hashjoin import (
+    _FIB_MULTIPLIER,
     DEFAULT_CONFIG,
     MIN_TABLE_SLOTS,
     HashJoinConfig,
@@ -76,6 +77,67 @@ class TestHashCodes:
         codes = hash_codes(np.arange(4096, dtype=np.int64), 4096)
         occupancy = np.bincount(codes, minlength=4096)
         assert occupancy.max() <= 8
+
+    @staticmethod
+    def _modulo_formula(keys, slots):
+        """The earlier formula, which ended in a redundant ``% slots``."""
+        shift = np.uint64(64 - int(slots).bit_length() + 1)
+        mixed = keys.astype(np.int64).view(np.uint64) * _FIB_MULTIPLIER
+        return (mixed >> shift).astype(np.int64) % slots
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("log_slots", [4, 5, 8, 11, 16, 19, 20])
+    def test_equals_the_modulo_formula(self, rng, dtype, log_slots):
+        info = np.iinfo(dtype)
+        keys = np.concatenate([
+            rng.integers(info.min, info.max, 2_000, dtype=dtype,
+                         endpoint=True),
+            np.arange(-300, 300, dtype=dtype),
+            np.array([info.min, info.min + 1, -1, 0, 1, info.max - 1,
+                      info.max], dtype=dtype),
+        ])
+        slots = 1 << log_slots
+        codes = hash_codes(keys, slots)
+        expected = self._modulo_formula(keys, slots)
+        assert codes.dtype == expected.dtype == np.int64
+        assert np.array_equal(codes, expected)
+
+    def test_does_not_modify_the_keys(self):
+        keys = np.arange(-5, 5, dtype=np.int64)
+        hash_codes(keys, 64)
+        assert np.array_equal(keys, np.arange(-5, 5))
+
+
+class TestMeasureChains:
+    @staticmethod
+    def _float_mean(build, probe, slots):
+        """The earlier measurement: a float mean of probe-sized chains."""
+        occupancy = np.bincount(hash_codes(build, slots), minlength=slots)
+        chains = occupancy[hash_codes(probe, slots)]
+        return float(np.maximum(chains, 1).mean())
+
+    @pytest.mark.parametrize("skew", ["uniform", "zipf", "one-key"])
+    def test_equals_the_float_mean_exactly(self, joiner, rng, skew):
+        if skew == "uniform":
+            build = rng.integers(0, 50_000, 20_000).astype(np.int64)
+        elif skew == "zipf":
+            build = (rng.zipf(1.3, 20_000) % 5_000).astype(np.int64)
+        else:
+            build = np.full(20_000, 7, dtype=np.int64)
+        probe = rng.integers(-100, 60_000, 30_001).astype(np.int32)
+        layout = table_layout(len(build))
+        measured = joiner._measure_chains(build, probe, layout)
+        expected = self._float_mean(build, probe, layout.slots)
+        assert type(measured) is float
+        assert measured == expected
+        assert measured.hex() == expected.hex()
+
+    def test_empty_sides(self, joiner):
+        layout = table_layout(4)
+        some = np.arange(4, dtype=np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        assert joiner._measure_chains(some, empty, layout) == 0.0
+        assert joiner._measure_chains(empty, some, layout) == 1.0
 
 
 class TestCorrectness:
