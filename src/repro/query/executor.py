@@ -10,7 +10,6 @@ handle; the only downloads are scalar counts and the final result.
 
 from __future__ import annotations
 
-import gc
 import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -193,7 +192,7 @@ class QueryExecutor:
         except DeviceMemoryError as exc:
             # Drop the traceback before leaving the handler: its frames
             # pin the failed attempt's intermediate device arrays, which
-            # the retry needs the collector to release.
+            # reference counting frees for the retry once it is gone.
             oom = exc.with_traceback(None)
         return self._retry_chunked(plan, result_name, oom)
 
@@ -248,7 +247,6 @@ class QueryExecutor:
         table_name = chunkable_table(plan, probe_joins=True)
         if table_name is None or table_name not in self.catalog:
             raise oom
-        gc.collect()  # release the failed attempt's intermediates
         table = self.catalog[table_name]
         table_bytes = table.nbytes
         max_chunks = max(table.num_rows, 2)
@@ -266,7 +264,6 @@ class QueryExecutor:
                     raise oom
                 report = replace(result.report, oom_recovery_chunks=chunks)
                 return ExecutionResult(table=result.table, report=report)
-            gc.collect()
             if chunks >= max_chunks:
                 raise retry_oom
             chunks = min(chunks * 2, max_chunks)

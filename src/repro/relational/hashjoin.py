@@ -207,13 +207,19 @@ def _dense_pairs(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Direct-address matches; both key arrays share one integer dtype
     and every right key lies in ``[low, high]``."""
-    base = right.dtype.type(low)
-    # Offsets from the build minimum are below span, so they cannot
-    # overflow; probe keys outside [low, high] get the empty slot ``span``.
-    right_slot = (right - base).astype(np.intp)
-    inside = (left >= base) & (left <= right.dtype.type(high))
+    # Offsets from the build minimum are below span; 64-bit arithmetic of
+    # the keys' signedness cannot overflow computing them (the keys' own
+    # dtype can, for int8/int16).  Probe keys outside [low, high] get the
+    # empty slot ``span``.
+    wide = np.uint64 if right.dtype.kind == "u" else np.int64
+    base = wide(low)
+    right_slot = np.subtract(right, base, dtype=wide)
+    right_slot = right_slot.astype(np.intp, copy=False)
+    inside = (left >= right.dtype.type(low)) & (left <= right.dtype.type(high))
     left_slot = np.full(len(left), span, dtype=np.intp)
-    np.subtract(left, base, out=left_slot, where=inside, casting="unsafe")
+    np.subtract(
+        left, base, out=left_slot, where=inside, dtype=wide, casting="unsafe"
+    )
     build_rows = np.arange(len(right), dtype=np.int64)
     row_of_key = np.full(span + 1, -1, dtype=np.int64)
     row_of_key[right_slot] = build_rows

@@ -364,9 +364,15 @@ class QueryServer:
             [stream.cursor] + [e.end for e in events], default=start + planning
         )
         record.result_rows = result.table.num_rows
-        record.device_breakdown = dict(
-            self.device.profiler.summary(since=mark).time_by_kind
-        )
+        # Summed in event order over the same slice Profiler.summary
+        # reads (subquery events included), so the floats are its own.
+        breakdown: Dict[str, float] = {}
+        for event in events:
+            if event.kind != prof.SPAN:
+                breakdown[event.kind] = (
+                    breakdown.get(event.kind, 0.0) + event.duration
+                )
+        record.device_breakdown = breakdown
         if self.config.result_cache:
             self.result_cache.put(key, result.table)
         if self.config.keep_results:

@@ -21,7 +21,8 @@ effective interconnect bandwidth" argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,24 +52,89 @@ def _bit_view(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values).view(dtype)
 
 
+#: One little-endian 64-bit word of a bit stream.
+_WORD = np.dtype("<u8")
+
+
 def _pack_bits(values: np.ndarray, width: int) -> np.ndarray:
     """Pack ``values`` (non-negative uint64, all < 2**width) into a
-    little-endian ``width``-bit stream stored as uint8."""
-    if width == 0 or values.size == 0:
-        return np.empty(0, dtype=np.uint8)
-    shifts = np.arange(width, dtype=np.uint64)
-    bits = (values[:, None] >> shifts) & np.uint64(1)
-    return np.packbits(bits.astype(np.uint8), bitorder="little")
+    little-endian ``width``-bit stream stored as uint8.
+
+    The stream is ``ceil(len(values) * width / 8)`` bytes with zero pad
+    bits: value ``i`` occupies bits ``[i * width, (i + 1) * width)``.
+    Values 8 apart start ``width`` bytes apart at the same bit shift, so
+    each of the 8 phases shifts its values into 64-bit words once and
+    ORs the words' bytes into ``width``-strided byte lanes; a value
+    spanning nine bytes (``shift + width > 64``) ORs its top bits into
+    a ninth lane.
+    """
+    count = values.size
+    out = np.zeros((count * width + 7) // 8, dtype=np.uint8)
+    if out.size == 0:
+        return out
+    for phase in range(min(8, count)):
+        start, shift = divmod(phase * width, 8)
+        phase_values = values[phase::8]
+        words = np.left_shift(phase_values, np.uint64(shift), dtype=_WORD)
+        word_bytes = words.view(np.uint8).reshape(-1, 8)
+        stop = start + (len(phase_values) - 1) * width + 1
+        lanes = (shift + width + 7) // 8
+        for lane in range(min(lanes, 8)):
+            dst = out[start + lane:stop + lane:width]
+            np.bitwise_or(dst, word_bytes[:, lane], out=dst)
+        if lanes > 8:
+            dst = out[start + 8:stop + 8:width]
+            top = np.right_shift(phase_values, np.uint64(64 - shift))
+            np.bitwise_or(dst, top.astype(np.uint8), out=dst)
+    return out
 
 
 def _unpack_bits(packed: np.ndarray, count: int, width: int) -> np.ndarray:
-    """Inverse of :func:`_pack_bits`: recover ``count`` uint64 values."""
+    """Inverse of :func:`_pack_bits`: recover ``count`` uint64 values.
+
+    Bytes past the first ``ceil(count * width / 8)`` are ignored.  Each
+    group of 8 values fills ``width`` bytes (so a stream may also be
+    unpacked from the start of any group), and value ``p`` of a group
+    starts at byte ``p * width // 8`` of it, bit ``p * width % 8``.  So
+    over the zero-padded stream, phase ``p`` (values ``p``, ``p + 8``,
+    ...) is one ``width``-strided view of overlapping little-endian
+    8-byte windows: all 8 phases are columns of one 2-D view, gathered,
+    shifted and masked in one pass each.  Where ``shift + width > 64``
+    the window's ninth byte supplies the top bits.
+    """
     if width == 0 or count == 0:
         return np.zeros(count, dtype=np.uint64)
-    bits = np.unpackbits(packed, count=count * width, bitorder="little")
-    bits = bits.reshape(count, width).astype(np.uint64)
-    shifts = np.arange(width, dtype=np.uint64)
-    return (bits << shifts).sum(axis=1, dtype=np.uint64)
+    groups = (count + 7) // 8
+    starts = [phase * width // 8 for phase in range(8)]
+    shifts = [phase * width % 8 for phase in range(8)]
+    span = starts[-1] + 9
+    nbytes = (count * width + 7) // 8
+    padded = np.zeros(groups * width + span, dtype=np.uint8)
+    used = min(nbytes, len(packed))
+    padded[:used] = packed[:used]
+    windows = np.ndarray((groups, span - 8), _WORD, padded, 0, (width, 1))
+    values = windows[:, starts]
+    values >>= np.array(shifts, dtype=np.uint64)
+    wide = [phase for phase in range(8) if shifts[phase] + width > 64]
+    if wide:
+        tail = np.ndarray((groups, span), np.uint8, padded, 0, (width, 1))
+        top = tail[:, [starts[phase] + 8 for phase in wide]]
+        top = top.astype(np.uint64) << np.array(
+            [64 - shifts[phase] for phase in wide], dtype=np.uint64
+        )
+        values[:, wide] |= top
+    values &= np.uint64((1 << width) - 1)
+    return values.reshape(-1)[:count]
+
+
+def _unpack_range(
+    packed: np.ndarray, width: int, lo: int, hi: int
+) -> np.ndarray:
+    """Values ``[lo, hi)`` of a packed stream, unpacked from the last
+    multiple of 8 at or below ``lo`` (a byte boundary of the stream)."""
+    first = lo - lo % 8
+    values = _unpack_bits(packed[first // 8 * width:], hi - first, width)
+    return values[lo - first:]
 
 
 @dataclass(frozen=True)
@@ -93,9 +159,10 @@ class EncodedColumn:
         """Decoded size in bytes."""
         return self.n * self.dtype.itemsize
 
-    @property
+    @cached_property
     def compressed_nbytes(self) -> int:
-        """Stored size in bytes, header included."""
+        """Stored size in bytes, header included (the payload is never
+        written, so it is computed once)."""
         return HEADER_BYTES + sum(int(a.nbytes) for a in self.payload)
 
     @property
@@ -186,27 +253,42 @@ def encode(values: np.ndarray, codec: str) -> EncodedColumn:
     return encoder(values)
 
 
-def decode(encoded: EncodedColumn) -> np.ndarray:
-    """Exact inverse of :func:`encode` for every codec."""
+def decode(
+    encoded: EncodedColumn, lo: int = 0, hi: Optional[int] = None
+) -> np.ndarray:
+    """Rows ``[lo, hi)`` (default: all) of the column ``encoded`` holds;
+    the exact inverse of :func:`encode` for every codec.
+
+    Each returned row is written once, and only the requested rows are
+    decoded.  ``plain`` returns a copy: callers may hand out writable
+    mirrors of the result.
+    """
     dtype = encoded.dtype
-    uint = _UINT_BY_ITEMSIZE[dtype.itemsize]
+    hi = encoded.n if hi is None else hi
+    if hi <= lo:
+        return np.empty(0, dtype=dtype)
     if encoded.codec == "plain":
-        return np.array(encoded.payload[0], copy=True)
+        return encoded.payload[0][lo:hi].copy()
     if encoded.codec == "rle":
         run_values, lengths = encoded.payload
-        if encoded.n == 0:
-            return np.empty(0, dtype=dtype)
-        return np.repeat(run_values, lengths)
+        ends = np.cumsum(lengths, dtype=np.int64)
+        first = int(np.searchsorted(ends, lo, side="right"))
+        last = int(np.searchsorted(ends, hi - 1, side="right"))
+        counts = lengths[first:last + 1].astype(np.int64)
+        counts[0] -= lo - (ends[first] - lengths[first])
+        counts[-1] -= ends[last] - hi
+        return np.repeat(run_values[first:last + 1], counts)
     if encoded.codec == "dict":
         uniques, packed = encoded.payload
-        codes = _unpack_bits(packed, encoded.n, encoded.width)
-        if len(uniques) == 0:
-            return np.empty(0, dtype=dtype)
-        return np.array(uniques[codes.astype(np.int64)], copy=True)
+        codes = _unpack_range(packed, encoded.width, lo, hi)
+        # Codes index a dictionary of at most n entries, so they are
+        # valid as signed indices.
+        return uniques[codes.view(np.intp)]
     if encoded.codec == "bitpack":
-        deltas = _unpack_bits(encoded.payload[0], encoded.n, encoded.width)
-        bits = (deltas + np.uint64(encoded.base)).astype(uint)
-        return bits.view(dtype).copy()
+        bits = _unpack_range(encoded.payload[0], encoded.width, lo, hi)
+        bits += np.uint64(encoded.base)
+        uint = _UINT_BY_ITEMSIZE[dtype.itemsize]
+        return bits.astype(uint, copy=False).view(dtype)
     raise ValueError(f"unknown codec {encoded.codec!r}")
 
 

@@ -25,7 +25,8 @@ into graceful degradation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -53,9 +54,10 @@ TIERS = (TIER_DEVICE, TIER_HOST, TIER_NVME)
 CHUNK_ROWS = 65536
 
 
-@dataclass
+@dataclass(eq=False)
 class _Chunk:
-    """One compressed row range of one column, resident on one tier."""
+    """One compressed row range of one column, resident on one tier
+    (hashed by identity: the store tracks each tier's chunk set)."""
 
     table: str
     column: str
@@ -170,6 +172,7 @@ class TieredColumnStore:
         self.profile = profile
         self.price_encode = price_encode
         self._columns: Dict[Tuple[str, str], List[_Chunk]] = {}
+        self._tier_chunks: Dict[str, Set[_Chunk]] = {t: set() for t in TIERS}
         self._tick = 0
         self._device_bytes = 0
         self._host_bytes = 0
@@ -209,6 +212,7 @@ class TieredColumnStore:
                 tier=TIER_HOST, tick=self._bump(),
             )
             chunks.append(chunk)
+            self._tier_chunks[TIER_HOST].add(chunk)
             self._host_bytes += chunk.compressed_nbytes
             self.stats.chunks += 1
             self.stats.raw_bytes += chunk.raw_nbytes
@@ -244,11 +248,10 @@ class TieredColumnStore:
 
     def tier_bytes(self) -> Dict[str, int]:
         """Current compressed bytes resident per tier."""
-        totals = {tier: 0 for tier in TIERS}
-        for chunks in self._columns.values():
-            for chunk in chunks:
-                totals[chunk.tier] += chunk.compressed_nbytes
-        return totals
+        return {
+            tier: sum(chunk.compressed_nbytes for chunk in chunks)
+            for tier, chunks in self._tier_chunks.items()
+        }
 
     def snapshot_stats(self) -> StoreStats:
         """The counters with the tier occupancy filled in."""
@@ -319,8 +322,11 @@ class TieredColumnStore:
                 clo, chi = spans[column]
                 parts: List[np.ndarray] = []
                 for chunk in covers[column]:
-                    data = decode(chunk.encoded)
-                    parts.append(data[max(clo - chunk.lo, 0):chi - chunk.lo])
+                    parts.append(decode(
+                        chunk.encoded,
+                        max(clo - chunk.lo, 0),
+                        min(chi, chunk.hi) - chunk.lo,
+                    ))
                     chunk.tick = self._bump()
                 if not parts:
                     dtype = self._columns[(table, column)][0].encoded.dtype
@@ -361,6 +367,11 @@ class TieredColumnStore:
         self._tick += 1
         return self._tick
 
+    def _move(self, chunk: _Chunk, tier: str) -> None:
+        self._tier_chunks[chunk.tier].remove(chunk)
+        self._tier_chunks[tier].add(chunk)
+        chunk.tier = tier
+
     def _label(self, op: str, chunk: _Chunk) -> str:
         return f"storage:{op}:{chunk.table}.{chunk.column}"
 
@@ -381,7 +392,7 @@ class TieredColumnStore:
                 total, "storage:nvme-read:batch", link=self.nvme_link
             )
             for chunk in nvme:
-                chunk.tier = TIER_HOST
+                self._move(chunk, TIER_HOST)
                 self._host_bytes += chunk.compressed_nbytes
                 self.stats.nvme_reads += 1
                 self.stats.nvme_read_bytes += chunk.compressed_nbytes
@@ -414,7 +425,7 @@ class TieredColumnStore:
             raise
         for chunk, buffer in zip(host, buffers):
             chunk.buffer = buffer
-            chunk.tier = TIER_DEVICE
+            self._move(chunk, TIER_DEVICE)
             self._host_bytes -= chunk.compressed_nbytes
             self._device_bytes += chunk.compressed_nbytes
             self.stats.promotes += 1
@@ -433,7 +444,7 @@ class TieredColumnStore:
         assert chunk.buffer is not None
         self.device.free(chunk.buffer)
         chunk.buffer = None
-        chunk.tier = TIER_HOST
+        self._move(chunk, TIER_HOST)
         self._device_bytes -= nbytes
         self._host_bytes += nbytes
         self.stats.spills += 1
@@ -447,38 +458,36 @@ class TieredColumnStore:
         self.device.host_io(
             nbytes, self._label("nvme-write", chunk), link=self.nvme_link
         )
-        chunk.tier = TIER_NVME
+        self._move(chunk, TIER_NVME)
         self._host_bytes -= nbytes
         self.stats.nvme_writes += 1
         self.stats.nvme_write_bytes += nbytes
         return nbytes
 
-    def _lru_chunks(self, tier: str) -> List[_Chunk]:
-        """Unpinned chunks on ``tier``, coldest first."""
-        victims = [
-            chunk
-            for chunks in self._columns.values()
-            for chunk in chunks
-            if chunk.tier == tier and chunk.pins == 0
-        ]
-        victims.sort(key=lambda chunk: chunk.tick)
-        return victims
+    def _coldest(self, tier: str) -> Optional[_Chunk]:
+        """The least recently used unpinned chunk on ``tier``, if any
+        (ticks are unique, so it is well defined)."""
+        return min(
+            (chunk for chunk in self._tier_chunks[tier] if chunk.pins == 0),
+            key=attrgetter("tick"),
+            default=None,
+        )
 
     def _spill_coldest(self) -> Optional[int]:
         """Spill the coldest unpinned device chunk; None when pinned out."""
-        victims = self._lru_chunks(TIER_DEVICE)
-        if not victims:
+        victim = self._coldest(TIER_DEVICE)
+        if victim is None:
             return None
-        return self._spill_chunk(victims[0])
+        return self._spill_chunk(victim)
 
     def _enforce_host_budget(self) -> None:
         if self.host_budget is None:
             return
         while self._host_bytes > self.host_budget:
-            victims = self._lru_chunks(TIER_HOST)
-            if not victims:
+            victim = self._coldest(TIER_HOST)
+            if victim is None:
                 return
-            self._demote_chunk(victims[0])
+            self._demote_chunk(victim)
 
     def _pressure_spill(self, nbytes_needed: int) -> int:
         """Memory-pressure callback: spill cold chunks down-tier.
@@ -513,7 +522,7 @@ class TieredColumnStore:
                 if chunk.tier == TIER_DEVICE and chunk.buffer is not None:
                     self.device.free(chunk.buffer)
                     chunk.buffer = None
-                    chunk.tier = TIER_HOST
+                    self._move(chunk, TIER_HOST)
                     self._device_bytes -= chunk.compressed_nbytes
                     self._host_bytes += chunk.compressed_nbytes
 

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from repro.core.backend import join_reference
 from repro.relational.hashjoin import DENSE_SPAN_PER_ROW, match_pairs
 
-DTYPES = (np.int32, np.int64, np.uint32, np.float64)
+DTYPES = (np.int8, np.int16, np.int32, np.int64,
+          np.uint8, np.uint16, np.uint32, np.float64)
 
 I64 = np.iinfo(np.int64)
 
@@ -81,7 +82,11 @@ class TestMatchPairsPaths:
         left_ids, right_ids = assert_same_as_reference(left, right)
         assert len(left_ids) > len(left)  # duplicates multiply matches
 
-    @pytest.mark.parametrize("dtype", DTYPES)
+    # An 8-bit build side spans at most 256 values, under the threshold
+    # for these 87 rows, so it cannot be sparse.
+    @pytest.mark.parametrize(
+        "dtype", [d for d in DTYPES if np.dtype(d).itemsize > 1]
+    )
     def test_sparse_span_falls_back(self, dtype, rng):
         keys = rng.choice(2_000_000_000, 50, replace=False)
         right = np.concatenate([keys, keys[:10]]).astype(dtype)
@@ -125,6 +130,19 @@ class TestMatchPairsPaths:
             right = np.arange(edge, edge + 4, dtype=np.int64)
             left = np.array([I64.min, I64.max, edge + 1], np.int64)
             assert_same_as_reference(left, right)
+
+    def test_narrow_keys_whose_span_exceeds_their_dtype(self):
+        # Offsets from the build minimum (up to 50000) overflow int16.
+        right = np.append(np.arange(-20000, 20000, 3), 30000).astype(np.int16)
+        left = np.array([-20000, 1, 30000, 19999, 5], dtype=np.int16)
+        left_ids, _right_ids = assert_same_as_reference(left, right)
+        assert len(left_ids) == 4
+        right = np.array([-128, 127, 127, 0], dtype=np.int8)
+        left = np.array([127, -128, 1, 0, -1], dtype=np.int8)
+        assert_same_as_reference(left, right)
+        right = np.array([0, 65535, 65535, 40000], dtype=np.uint16)
+        left = np.array([65535, 0, 40000, 1], dtype=np.uint16)
+        assert_same_as_reference(left, right)
 
     def test_mixed_key_dtypes(self):
         left = np.array([-1, 5, 7, 2**31 - 1], dtype=np.int32)

@@ -29,7 +29,7 @@ from repro.serve import (
     repeated_workload,
 )
 from repro.tpch import TpchGenerator
-from repro.tpch.queries import q1, q6
+from repro.tpch.queries import q1, q6, q11, q16, q18, q22
 
 
 @pytest.fixture(scope="module")
@@ -242,3 +242,25 @@ class TestTenancy:
             server.run(_workload(num_requests=10))
             assert set(server._served_by_tenant) == {"t0", "t1"}
             assert all(v > 0 for v in server._served_by_tenant.values())
+
+
+class TestDeviceBreakdown:
+    """A served request's ``device_breakdown`` is the profiler summary of
+    every device event it caused, subqueries included, to the last bit."""
+
+    @pytest.mark.parametrize("name,module", [
+        ("Q6", q6), ("Q11", q11), ("Q16", q16), ("Q18", q18), ("Q22", q22),
+    ])
+    def test_breakdown_equals_the_profiler_summary(self, catalog, name,
+                                                   module):
+        plan = module.plan() if module is q6 else module.plan(catalog)
+        workload = repeated_workload([QuerySpec(name, plan)], rate=100.0,
+                                     repeats=1)
+        with _server(catalog, plan_cache=False, result_cache=False) as server:
+            mark = server.device.profiler.mark()
+            report = server.run(workload)
+            summary = server.device.profiler.summary(since=mark)
+        (record,) = report.records
+        assert record.status == COMPLETED
+        assert record.device_breakdown == summary.time_by_kind
+        assert list(record.device_breakdown) == list(summary.time_by_kind)

@@ -4,16 +4,18 @@ what they cache, and repeated query workloads do not leak."""
 import gc
 import inspect
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core import col_lt
+from repro.errors import DeviceMemoryError
 from repro.gpu import GTX_1080TI, Device
 from repro.query import GpuSession, QueryExecutor, scan
 from repro.relational import Column, Table
 from repro.serve import OpenLoopWorkload, QueryServer, QuerySpec, ServerConfig
-from repro.tpch import ALL_QUERIES, TpchGenerator, q1, q3, q6
+from repro.tpch import ALL_QUERIES, TpchGenerator, q1, q3, q6, q8, q9, q12
 
 
 @pytest.fixture
@@ -211,3 +213,46 @@ class TestDeviceRefcountHygiene:
             assert dropped() is None
         finally:
             gc.enable()
+
+
+class TestOomRetryHygiene:
+    """An OOM'd attempt's device buffers are freed by reference counting.
+
+    The chunked retry runs with no full collection, so neither a failed
+    whole-plan attempt nor a failed chunked attempt may leave its
+    buffers in a reference cycle: with the collector disabled, every
+    execution, recovered or not, returns the device to its pre-attempt
+    buffer count.
+    """
+
+    @pytest.mark.parametrize("backend_name", [
+        "handwritten", "compiled", "thrust", "boost.compute", "arrayfire",
+        "cudf",
+    ])
+    def test_oom_retry_frees_failed_attempts_hygiene(self, framework,
+                                                     backend_name):
+        catalog = TpchGenerator(scale_factor=0.002, seed=5).generate()
+        memory = sum(table.nbytes for table in catalog.values()) // 4
+        plans = [q1.plan(), q3.plan(catalog), q8.plan(catalog),
+                 q9.plan(catalog), q12.plan(catalog)]
+        recovered = 0
+        gc.collect()
+        gc.disable()
+        try:
+            for plan in plans:
+                device = Device(replace(GTX_1080TI, memory_bytes=memory))
+                executor = QueryExecutor(
+                    framework.create(backend_name, device), catalog
+                )
+                before = device.memory.live_buffer_count
+                try:
+                    result = executor.execute(plan)
+                except DeviceMemoryError:
+                    pass
+                else:
+                    recovered += result.report.oom_recovery_chunks is not None
+                    del result
+                assert device.memory.live_buffer_count == before
+        finally:
+            gc.enable()
+        assert recovered >= 3  # the retry path ran, and succeeded
